@@ -11,9 +11,10 @@ interesting shape claims:
   real overhead; parity is acceptable, an order-of-magnitude cliff is
   not);
 - the shared-memory transport with warm workers must **beat** the
-  warm-cache inline baseline on the same stream -- its workers run
-  specialized (codegen'd) cell programs and its slots move SoA bytes,
-  not pickles, so it wins even on one core;
+  warm-cache inline baseline on the same stream -- its slots move SoA
+  bytes, not pickles.  Every backend runs the same codegen-lowered
+  cells (:mod:`repro.engine.lowering`), so on a stream this small the
+  margin is thin and host noise can invert it;
 - ``transport_bytes`` makes the serialization tax visible per backend.
 
 Besides the human-readable ``results/engine_throughput.txt`` table,
@@ -187,8 +188,8 @@ def test_engine_throughput(benchmark, publish, results_dir):
                 "warm cache = program compiled before timing starts; "
                 f"cache miss (DPMap) {miss_seconds * 1e3:.2f} ms vs hit "
                 f"{hit_seconds * 1e6:.1f} us ({amortization:,.0f}x); "
-                "shm workers run codegen-specialized cells over "
-                "shared-memory SoA rings"
+                "every backend runs codegen-lowered cells; shm moves "
+                "SoA bytes over shared-memory rings"
             ),
         ),
     )

@@ -14,6 +14,7 @@ Module map (one concern each):
 - :mod:`repro.engine.cache`    -- LRU compiled-program cache
 - :mod:`repro.engine.batcher`  -- kernel/size-bin batch packing
 - :mod:`repro.engine.runners`  -- per-kernel functional execution
+- :mod:`repro.engine.lowering` -- compiled programs lowered to Python cells
 - :mod:`repro.engine.executor` -- process-pool / inline batch backends
 - :mod:`repro.engine.breaker`  -- per-kernel circuit breaker
 - :mod:`repro.engine.dlq`     -- dead-letter queue for failed jobs

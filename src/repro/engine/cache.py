@@ -31,6 +31,11 @@ from repro.isa.compute import VLIWInstruction
 
 CacheKey = Tuple[str, int, str, str]
 
+#: Default number of distinct programs kept per process, shared by the
+#: compile cache and the lowered-cell memo
+#: (:func:`repro.engine.lowering.lowered_cell`).
+DEFAULT_CAPACITY = 32
+
 
 @dataclass(frozen=True)
 class CompiledProgram:
@@ -96,7 +101,7 @@ class CacheStats:
 class ProgramCache:
     """A bounded LRU of :class:`CompiledProgram` keyed by content."""
 
-    def __init__(self, capacity: int = 32):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity

@@ -29,6 +29,7 @@ from __future__ import annotations
 import pickle
 import random
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -64,14 +65,22 @@ def execute_batch_payloads(
 ) -> List[Dict[str, Any]]:
     """Run every payload of one batch; never raises for per-job errors.
 
-    Module-level so the process pool can pickle it by reference.
+    Module-level so the process pool can pickle it by reference.  Every
+    backend's batches land here (inline, pool, and pool batches
+    degraded to inline), so this is where the program's lowered cell
+    (:func:`repro.engine.lowering.lowered_cell`, memoized per process)
+    is resolved once per batch and handed to each job.
     """
+    from repro.engine.lowering import lowered_cell
     from repro.engine.runners import run_job
 
+    cell = lowered_cell(compiled)
     results: List[Dict[str, Any]] = []
     for payload in payloads:
         try:
-            results.append({"ok": True, "value": run_job(kernel, compiled, payload)})
+            results.append(
+                {"ok": True, "value": run_job(kernel, compiled, payload, cell)}
+            )
         except Exception as error:  # job-level isolation
             results.append(
                 {"ok": False, "error": f"{type(error).__name__}: {error}"}
@@ -210,12 +219,20 @@ class PoolExecutor:
     def _submit(self, pool, flight: _Flight) -> None:
         self._measure_submit(flight)
         flight.started = time.perf_counter()
-        flight.future = pool.submit(
-            execute_batch_payloads,
-            flight.batch.kernel,
-            flight.compiled,
-            [job.payload for job in flight.batch.jobs],
-        )
+        try:
+            flight.future = pool.submit(
+                execute_batch_payloads,
+                flight.batch.kernel,
+                flight.compiled,
+                [job.payload for job in flight.batch.jobs],
+            )
+        except RuntimeError as error:
+            # A worker of this drain died while later batches were still
+            # being submitted (the pool is broken): park the failure on
+            # the flight, so _collect retries it like any other crash.
+            future = Future()
+            future.set_exception(error)
+            flight.future = future
 
     def _failover(
         self, flights: List[_Flight], index: int, retry_self: bool

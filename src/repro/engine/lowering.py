@@ -1,32 +1,50 @@
-"""Warm-worker program specialization.
+"""The one cell lowering: compiled VLIW cell programs as Python code.
 
-A persistent serve worker sees the same compiled program for thousands
-of jobs, so it can afford a one-time *specialization* step when a
-program is broadcast: the VLIW bundles are translated into one
-straight-line Python function (register-file slots become local
-variables, each CU way becomes one expression with the exact
-:func:`repro.dfg.graph._apply` semantics), compiled once with
-``compile``/``exec`` and cached next to the unpickled program.  Per
-cell this removes the bundle/way/slot interpretation loop, the operand
-list building and the chained opcode dispatch of
-:func:`repro.dpmap.codegen.execute_way` -- a 15-40x cell-update
-speedup at identical integer semantics.
+Every engine backend executes a job by calling one cell-update
+function per DP cell.  This module lowers a
+:class:`~repro.engine.cache.CompiledProgram` into that function: the
+VLIW bundles become one straight-line Python function (register-file
+slots become local variables, each CU way becomes one expression with
+the exact :func:`repro.dfg.graph._apply` semantics), compiled once with
+``compile``/``exec``.  Per cell this removes the bundle/way/slot
+interpretation loop, the operand list building and the chained opcode
+dispatch of :func:`repro.dpmap.codegen.execute_way` -- a 15-40x
+cell-update speedup at identical integer semantics.
 
-The inline floor and the cycle simulator deliberately keep the
-interpreted path: it is the reference the differential tests compare
-against, and it carries the sentinel observe hook.  Accordingly a
-specialized cell is only used when sentinels are off; the byte-equal
+:func:`lowered_cell` is the per-process memo every caller goes through
+(the inline and pool batch runner, the shm warm workers' program
+cache, the shm degradation floor and the differential fuzzer).  It
+keys on the fields the lowered code actually executes -- kernel,
+instructions and register maps -- never on
+:attr:`CompiledProgram.program_hash`, which ``dataclasses.replace``
+copies unchanged onto an edited program.  A program the lowering
+cannot express memoizes ``None`` and runs interpreted.
+
+The interpreter stays the reference: :func:`repro.engine.runners.run_job`
+ignores a lowered cell whenever a job arms sentinels, because only the
+interpreted path carries the per-ALU observe hook.  The byte-equal
 contract between both executors is enforced by
-``tests/serve/test_warm.py``'s seeded sweep over every engine kernel.
+``tests/serve/test_warm.py``'s seeded sweep over every engine kernel
+and backend.
+
+This module deliberately imports nothing from :mod:`repro.serve`: pool
+workers fork from the engine and must not pay the asyncio front-end
+import (``tests/engine/test_lowering.py`` pins that).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import math
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
-from repro.engine.cache import CompiledProgram
+from repro.engine.cache import DEFAULT_CAPACITY, CompiledProgram
+from repro.engine.runners import match_table_for
 from repro.isa.compute import Imm, SlotOp
+from repro.kernels.pairhmm import log_sum_lookup
+
+Cell = Callable[[Dict[str, int]], Dict[str, int]]
 
 #: Opcode -> expression template with ``{0}``/``{1}``... operand holes.
 #: Semantics mirror :func:`repro.dfg.graph._apply` exactly; any new
@@ -56,7 +74,7 @@ _DEFAULT_MATCH = "(1 if {0} == {1} else -1)"
 
 
 class SpecializationError(ValueError):
-    """The program uses a construct the specializer cannot express."""
+    """The program uses a construct the lowering cannot express."""
 
 
 def _expression(
@@ -154,17 +172,13 @@ def specialize_source(
 def specialize_cell(
     compiled: CompiledProgram,
     match_table: Optional[Callable[[int, int], int]] = None,
-) -> Callable[[Dict[str, int]], Dict[str, int]]:
+) -> Cell:
     """Compile *compiled* into one specialized cell-update function.
 
     Drop-in for the closure :func:`repro.engine.runners._cell_executor`
-    builds, minus the sentinel observe hook (callers must keep the
-    interpreted path when sentinels are armed).
+    builds, minus the sentinel observe hook.  Uncached: callers go
+    through :func:`lowered_cell`.
     """
-    import math
-
-    from repro.kernels.pairhmm import log_sum_lookup
-
     source = specialize_source(compiled, match_table is not None)
     namespace: Dict[str, Any] = {
         "_match": match_table,
@@ -173,3 +187,42 @@ def specialize_cell(
     }
     exec(compile(source, "<gendp-specialized>", "exec"), namespace)
     return namespace["_cell"]
+
+
+#: Executed-content key -> lowered cell (``None``: the lowering
+#: rejected the program).  LRU-bounded like the engine's ProgramCache,
+#: so optimizer variants cannot grow it without bound.
+_MEMO: "OrderedDict[Hashable, Optional[Cell]]" = OrderedDict()
+
+
+def _memo_key(compiled: CompiledProgram) -> Tuple[Hashable, ...]:
+    """Everything the lowered code depends on, and nothing else."""
+    return (
+        compiled.kernel,
+        compiled.instructions,
+        tuple(compiled.input_regs.items()),
+        tuple(compiled.output_regs.items()),
+    )
+
+
+def lowered_cell(compiled: CompiledProgram) -> Optional[Cell]:
+    """The memoized lowered cell of *compiled*, or ``None`` to interpret.
+
+    ``None`` means the lowering rejected the program
+    (:class:`SpecializationError`, or a malformed construct the
+    interpreter will report per job); the interpreter then runs it.
+    """
+    key = _memo_key(compiled)
+    try:
+        cell = _MEMO[key]
+    except KeyError:
+        try:
+            cell = specialize_cell(compiled, match_table_for(compiled.kernel))
+        except Exception:  # the interpreter still gives correct results
+            cell = None
+        _MEMO[key] = cell
+        if len(_MEMO) > DEFAULT_CAPACITY:
+            _MEMO.popitem(last=False)
+    else:
+        _MEMO.move_to_end(key)
+    return cell

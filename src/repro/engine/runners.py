@@ -1,10 +1,14 @@
 """Per-kernel functional execution of compiled cell programs.
 
-Each runner sweeps a job's DP table cell by cell, executing the
-DPMap-emitted VLIW program through the same
-:func:`repro.dpmap.codegen.execute_way` semantics the PE simulator
-uses, with the boundary conditions of the corresponding systolic spec
-(:mod:`repro.mapping.kernels2d`).  This is the functional model of the
+Each runner sweeps a job's DP table cell by cell with the boundary
+conditions of the corresponding systolic spec
+(:mod:`repro.mapping.kernels2d`), calling one cell-update function per
+cell.  Every engine backend passes the program's lowered cell
+(:func:`repro.engine.lowering.lowered_cell`: the DPMap-emitted VLIW
+program compiled to straight-line Python); without one -- sentinels
+armed, or a program the lowering rejects -- the runner interprets the
+program through the same :func:`repro.dpmap.codegen.execute_way`
+semantics the PE simulator uses.  This is the functional model of the
 compute thread -- bit-identical to the reference kernels (approximate
 only for PairHMM's fixed-point log domain, like the hardware), but
 orders of magnitude faster than the cycle-level simulator, which is
@@ -439,11 +443,12 @@ def run_job(
 ) -> Dict[str, Any]:
     """Execute one job with *compiled* and return its output dict.
 
-    *cell* lets warm serve workers substitute a specialized cell
-    function (:func:`repro.serve.warm.specialize_cell`) for the
-    interpreted one; it is ignored -- the interpreter runs -- whenever
-    the payload arms sentinels, because only the interpreted path
-    carries the per-ALU observe hook.
+    *cell* is the program's lowered cell function, which every backend
+    resolves once per program through
+    :func:`repro.engine.lowering.lowered_cell` and passes in; ``None``
+    interprets the program (the reference path).  It is ignored -- the
+    interpreter runs -- whenever the payload arms sentinels, because
+    only the interpreted path carries the per-ALU observe hook.
     """
     if kernel not in _RUNNERS:
         raise JobValidationError(f"unknown kernel {kernel!r}")

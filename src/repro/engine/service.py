@@ -121,8 +121,8 @@ class EngineConfig:
     #: When sentinels are armed, skip runtime observation for programs
     #: whose compile-time :class:`ProgramSafetyCertificate` proves no
     #: armed hazard can fire under the kernel's declared input contract
-    #: (see :mod:`repro.static`).  Elision restores the specialized
-    #: warm-cell fast path that sentinel observation otherwise forgoes;
+    #: (see :mod:`repro.static`).  Elision restores the lowered-cell
+    #: fast path that sentinel observation otherwise forgoes;
     #: uncertified programs keep full observation.  Set False to force
     #: observation everywhere (the soundness cross-check then audits
     #: certificates via ``static_certificate_violations``).
@@ -249,7 +249,7 @@ class Engine:
         Pre-seeds both the engine's LRU cache and -- through the
         executor's ``preload`` hook -- the warm workers' program
         caches, so the first real request pays neither a compile nor a
-        worker-side unpickle/specialize.  Warm-start failures are
+        worker-side unpickle/lowering.  Warm-start failures are
         logged, not fatal: a kernel that cannot compile will fail its
         first batch the normal way.
         """
@@ -557,8 +557,8 @@ class Engine:
             }
             # Sentinel elision: a certificate proves no armed hazard
             # can fire for in-contract inputs, so the observe hook is
-            # dropped before dispatch and the workers take the
-            # specialized fast path.  Payload dicts are per-job copies
+            # dropped before dispatch and every backend takes the
+            # lowered-cell fast path.  Payload dicts are per-job copies
             # made at submit, so popping here mutates nothing shared.
             if (
                 certified

@@ -5,10 +5,11 @@ DPMap-compiled VLIW program (executed through the functional compute
 model) and the plain-Python reference kernel.  Differential fuzzing is
 the strongest correctness check we have: generate a seeded random
 workload, run both, and compare.  Six kernels are covered -- BSW,
-PairHMM, Chain and DTW through the engine's runners, POA and
-Bellman-Ford through functional sweeps of their scratchpad-mapping
-cell programs (:mod:`repro.mapping.longrange` semantics, without the
-cycle-level simulator cost).
+PairHMM, Chain and DTW through the engine's runners (with the lowered
+cell every backend runs, or the interpreter when sentinels are armed),
+POA and Bellman-Ford through functional sweeps of their
+scratchpad-mapping cell programs (:mod:`repro.mapping.longrange`
+semantics, without the cycle-level simulator cost).
 
 Case generation is a pure function of ``(seed, kernel, index)`` via
 :func:`repro.faults.seeded_rng`, so campaigns are resumable and two
@@ -37,6 +38,7 @@ from repro.dpmap.codegen import (
     verify_program,
 )
 from repro.engine.cache import CompiledProgram, compile_program
+from repro.engine.lowering import lowered_cell
 from repro.engine.runners import (
     DEFAULT_CHAIN_WINDOW,
     PAIRHMM_LOG10_TOLERANCE,
@@ -289,7 +291,9 @@ def compiled_result(
         job_payload = dict(payload)
         if sentinel is not None:
             job_payload["_sentinels"] = True
-        value = run_job(kernel, programs.compiled, job_payload)
+        value = run_job(
+            kernel, programs.compiled, job_payload, lowered_cell(programs.compiled)
+        )
         counts = value.pop("_sentinels", None)
         if sentinel is not None and counts:
             sentinel.merge(counts)

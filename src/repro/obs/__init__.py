@@ -36,7 +36,6 @@ from repro.obs.profile import (
     ProfileReport,
     TileProfile,
 )
-from repro.obs.server import MetricsServer
 from repro.obs.trace import (
     Span,
     TraceRecorder,
@@ -45,6 +44,19 @@ from repro.obs.trace import (
     validate_chrome_trace,
     worker_span,
 )
+
+
+
+def __getattr__(name: str):
+    # MetricsServer loads on first use: http.server drags in the ssl and
+    # email stacks (~7 MB resident), and every engine process -- each
+    # forked pool worker included -- imports this package.
+    if name == "MetricsServer":
+        from repro.obs.server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArrayProfile",

@@ -138,8 +138,8 @@ class ProgramTable:
     The parent is the only writer: blob first, row second, count last,
     so a reader that observes ``count > id`` is guaranteed to see that
     program's complete row and bytes.  Workers unpickle each program
-    once and memoize (plus the specialized cell function built from
-    it) -- that is the warm-worker program cache.
+    once and memoize (plus the lowered cell function built from it)
+    -- that is the warm-worker program cache.
     """
 
     def __init__(

@@ -240,7 +240,7 @@ class ShmExecutor:
         self._workers[worker_id] = process
 
     def preload(self, compiled: CompiledProgram) -> Optional[int]:
-        """Broadcast *compiled* so workers specialize it before traffic."""
+        """Broadcast *compiled* so workers lower it before traffic."""
         return self._program_id(compiled)
 
     def _program_id(self, compiled: CompiledProgram) -> Optional[int]:
@@ -507,12 +507,18 @@ class ShmExecutor:
 
     def _run_inline(self, record: _PendingJob, state: _BatchState) -> None:
         """The degradation floor for one job (always correct, serial)."""
+        from repro.engine.lowering import lowered_cell
         from repro.engine.runners import run_job
 
         record.attempts += 1
         state.max_attempts = max(state.max_attempts, record.attempts)
         try:
-            value = run_job(record.kernel, state.compiled, record.payload)
+            value = run_job(
+                record.kernel,
+                state.compiled,
+                record.payload,
+                lowered_cell(state.compiled),
+            )
             result: Dict[str, Any] = {"ok": True, "value": value}
         except Exception as error:
             result = {"ok": False, "error": f"{type(error).__name__}: {error}"}

@@ -11,7 +11,7 @@ Warm means two things here:
 
 - the worker keeps a program cache: each compiled program broadcast
   through the :class:`repro.serve.ring.ProgramTable` is unpickled
-  **once**, specialized once (:func:`repro.serve.warm.specialize_cell`)
+  **once**, lowered once (:func:`repro.engine.lowering.lowered_cell`)
   and reused for every subsequent job that names its program id;
 - the parent pre-seeds that table with the engine's warm kernels
   before the first job is published, so the first request pays no
@@ -33,8 +33,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.serve.layout import (
     DONE,
-    FLAG_SENTINELS,
-    J_FLAGS,
     J_GEN,
     J_JOB_ID,
     J_KERNEL,
@@ -55,28 +53,23 @@ from repro.serve.ring import RingGeometry, SegmentNames, ServeSegments
 
 
 class _ProgramCache:
-    """Worker-side memo of unpickled + specialized programs."""
+    """Worker-side memo of unpickled programs and their lowered cells."""
 
     def __init__(self, segments: ServeSegments):
         self._segments = segments
         self._entries: Dict[int, Tuple[Any, Optional[Callable]]] = {}
 
     def get(self, program_id: int) -> Optional[Tuple[Any, Optional[Callable]]]:
-        """(compiled, specialized cell or None), or None when unseen."""
+        """(compiled, lowered cell or None), or None when unseen."""
         entry = self._entries.get(program_id)
         if entry is not None:
             return entry
         compiled = self._segments.programs.load(program_id)
         if compiled is None:
             return None
-        from repro.engine.runners import match_table_for
-        from repro.serve.warm import specialize_cell
+        from repro.engine.lowering import lowered_cell
 
-        try:
-            cell = specialize_cell(compiled, match_table_for(compiled.kernel))
-        except Exception:
-            cell = None  # interpreted path still gives correct results
-        entry = (compiled, cell)
+        entry = (compiled, lowered_cell(compiled))
         self._entries[program_id] = entry
         return entry
 
@@ -128,10 +121,10 @@ def _execute(
         compiled, cell = entry
         if kernel is None:
             kernel = compiled.kernel
-        if int(header[J_FLAGS]) & FLAG_SENTINELS:
-            cell = None  # interpreted path carries the observe hook
         from repro.engine.runners import run_job
 
+        # run_job interprets jobs that arm sentinels: decode_payload
+        # restores ``_sentinels`` from the job header's flag.
         value = run_job(kernel, compiled, payload, cell)
         return True, value, None
     except Exception as error:  # job-level isolation, like the pool

@@ -117,6 +117,38 @@ class TestPool:
         assert innocent.results[0]["value"]["length"] == 5
         assert innocent2.results[0]["value"]["length"] == 4
 
+    def test_pool_broken_while_submitting_is_retried_not_raised(
+        self, lcs_compiled
+    ):
+        # A worker can die while the drain is still submitting later
+        # batches; pool.submit then raises.  That must take the retry
+        # path like any crash, never escape run_batches as a drain fault.
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BrokenPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+            def shutdown(self, **kwargs):
+                pass
+
+        batches = [
+            (_lcs_batch([GOOD]), lcs_compiled),
+            (_lcs_batch([{"x": "AAAA", "y": "AAAA"}]), lcs_compiled),
+        ]
+        executor = PoolExecutor(workers=1, job_timeout_s=30.0)
+        executor._pool = BrokenPool()
+        try:
+            outcomes = executor.run_batches(batches)
+        finally:
+            executor.close()
+        first, second = outcomes
+        assert [o.backend for o in outcomes] == ["pool", "pool"]
+        assert first.attempts == 2  # its failed submit counted as a try
+        assert second.attempts == 1  # resubmitted on the fresh pool for free
+        assert first.results[0]["value"]["length"] == 5
+        assert second.results[0]["value"]["length"] == 4
+
 
 class TestBackoff:
     def test_disabled_by_default(self):

@@ -1,10 +1,12 @@
-"""Warm-worker specialization: codegen'd cells match the interpreter.
+"""One cell lowering on every backend: codegen'd cells match the interpreter.
 
-:func:`repro.serve.warm.specialize_cell` turns a compiled VLIW cell
-program into straight-line Python.  The contract is *exact* semantic
-equality with the interpreted executor -- same outputs for the same
-register-file inputs, across every engine kernel -- because serve
-workers substitute the specialized cell silently and the transport
+:func:`repro.engine.lowering.specialize_cell` turns a compiled VLIW
+cell program into straight-line Python, and every engine backend --
+inline, pickle pool and the shm warm workers -- runs that lowered cell
+(:func:`repro.engine.lowering.lowered_cell`).  The contract is *exact*
+semantic equality with the interpreted executor -- same outputs for
+the same register-file inputs, across every engine kernel -- because
+the backends substitute the lowered cell silently and the transport
 promises byte-identical results.
 """
 
@@ -12,15 +14,22 @@ import random
 
 import pytest
 
+from repro.engine import Engine, EngineConfig, lowering, make_job, runners
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS
+from repro.engine.lowering import (
+    SpecializationError,
+    specialize_cell,
+    specialize_source,
+)
 from repro.engine.runners import (
     _cell_executor,
     build_dfg,
     match_table_for,
+    matches_reference,
     run_job,
 )
-from repro.serve.warm import SpecializationError, specialize_cell, specialize_source
+from repro.serve import TransportConfig
 from repro.workloads.anchors import generate_chain_workload
 from repro.workloads.haplotypes import generate_pairhmm_workload
 from repro.workloads.reads import generate_bsw_workload
@@ -77,7 +86,7 @@ def _payloads(kernel, count, seed):
 
 @pytest.mark.parametrize("kernel", ENGINE_KERNELS)
 def test_specialized_cell_matches_interpreter_on_real_workloads(kernel):
-    """The end-to-end contract serve workers rely on, per kernel."""
+    """The end-to-end contract every backend relies on, per kernel."""
     compiled = _compiled(kernel)
     cell = specialize_cell(compiled, match_table_for(kernel))
     for seed, payload in enumerate(_payloads(kernel, 4, seed=23)):
@@ -124,3 +133,92 @@ def test_specialize_rejects_programs_with_unknown_opcodes():
     object.__setattr__(hacked, "instructions", (FakeOp(),))
     with pytest.raises((SpecializationError, AttributeError, TypeError)):
         specialize_cell(hacked, None)
+
+
+#: Backend label -> EngineConfig kwargs; two workers on the
+#: multi-process backends.
+BACKENDS = {
+    "inline": {"workers": 0},
+    "pool": {"workers": 2},
+    "shm": {
+        "transport": TransportConfig(
+            backend="shm", workers=2, poll_interval_s=0.002
+        )
+    },
+}
+
+
+def _drain(config, jobs_by_kernel):
+    """Run one mixed stream; ({(kernel, index): result}, snapshot)."""
+    with Engine(config) as engine:
+        keyed = {}
+        for kernel, payloads in jobs_by_kernel.items():
+            for index, payload in enumerate(payloads):
+                job = make_job(kernel, dict(payload))
+                keyed[(kernel, index)] = job.job_id
+                engine.submit(job)
+        results = {r.job_id: r for r in engine.drain()}
+        snapshot = engine.snapshot()
+    return {key: results[job_id] for key, job_id in keyed.items()}, snapshot
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_backend_runs_the_lowered_cell(backend, monkeypatch):
+    """Seeded sweep: each backend equals the interpreter and the reference.
+
+    The interpreted answers are taken first; then the interpreter is
+    disabled (before any pool or worker forks, so children inherit
+    that), which makes a backend that still interprets fail loudly
+    instead of passing on equal results.
+    """
+    jobs_by_kernel = {
+        kernel: _payloads(kernel, 3, seed=41) for kernel in ENGINE_KERNELS
+    }
+    interpreted = {
+        (kernel, index): run_job(kernel, _compiled(kernel), dict(payload), None)
+        for kernel, payloads in jobs_by_kernel.items()
+        for index, payload in enumerate(payloads)
+    }
+
+    def no_interpreter(*args, **kwargs):
+        raise AssertionError("interpreted a job that should run lowered")
+
+    monkeypatch.setattr(runners, "_cell_executor", no_interpreter)
+    config = EngineConfig(max_queue=64, **BACKENDS[backend])
+    results, _ = _drain(config, jobs_by_kernel)
+    for (kernel, index), result in results.items():
+        payload = jobs_by_kernel[kernel][index]
+        assert result.ok, (backend, kernel, index, result.error)
+        assert result.backend == backend  # no degradation hid a failure
+        assert result.value == interpreted[(kernel, index)], (backend, kernel)
+        assert matches_reference(kernel, result.value, payload), (backend, kernel)
+
+
+def test_armed_sentinels_still_interpret_on_the_pool(monkeypatch):
+    """Sentinels stay an interpreter hook: armed pool jobs observe values.
+
+    Every lowered cell handed out is booby-trapped (before the pool
+    forks), so an armed job that ran it instead of interpreting fails.
+    """
+
+    def trapped_cell(compiled):
+        def cell(inputs):
+            raise AssertionError("armed job ran the lowered cell")
+
+        return cell
+
+    monkeypatch.setattr(lowering, "lowered_cell", trapped_cell)
+    jobs_by_kernel = {
+        kernel: _payloads(kernel, 2, seed=43) for kernel in ENGINE_KERNELS
+    }
+    config = EngineConfig(
+        max_queue=64, workers=2, sentinels=True, elide_sentinels=False
+    )
+    results, snapshot = _drain(config, jobs_by_kernel)
+    for (kernel, index), result in results.items():
+        assert result.ok, (kernel, index, result.error)
+        assert result.backend == "pool"
+        assert matches_reference(
+            kernel, result.value, jobs_by_kernel[kernel][index]
+        )
+    assert snapshot["sentinels"]["sentinel_values_observed"] > 0

@@ -282,11 +282,14 @@ class TestGracefulShutdown:
         import signal as _signal
         import time
 
+        # The stream must still be running when SIGTERM lands 1.5 s in:
+        # 12000 inline LCS jobs take several seconds with lowered cells,
+        # while synthesizing them takes well under one.
         script = tmp_path / "stream.py"
         script.write_text(
             "import sys\n"
             "from repro.cli import batch_main\n"
-            "sys.exit(batch_main(['--jobs', '4000', '--kernels', 'lcs',\n"
+            "sys.exit(batch_main(['--jobs', '12000', '--kernels', 'lcs',\n"
             "                     '--workers', '0', '--chunk', '8',\n"
             "                     '--no-validate']))\n"
         )
